@@ -296,13 +296,9 @@ let parse_tenant_weights spec =
 
 let serve graph_spec socket_path port workers queue_cap cache_cap timeout_ms max_steps
     max_rows max_conns semantics_name install_files trace_file data_dir compact_every
-    shards tenant_weights_spec quota_steps quota_rows tenant_queue replica_of sync_replicas
+    tenant_weights_spec quota_steps quota_rows tenant_queue replica_of sync_replicas
     sync_timeout_ms max_staleness_ms =
   let graph = load_graph graph_spec in
-  if shards < 1 then begin
-    prerr_endline "serve: --shards must be >= 1";
-    exit 2
-  end;
   let tenant_weights =
     match parse_tenant_weights tenant_weights_spec with
     | Ok ws -> ws
@@ -343,7 +339,7 @@ let serve graph_spec socket_path port workers queue_cap cache_cap timeout_ms max
   let engine =
     match data_dir with
     | None ->
-      Service.Engine.create ~cache_capacity:cache_cap ?semantics ~limits ~shards ~graph ()
+      Service.Engine.create ~cache_capacity:cache_cap ?semantics ~limits ~graph ()
     | Some dir ->
       (* Durable mode: recover the committed state from <dir> (the --graph
          spec supplies the base graph until the first compaction), then
@@ -358,7 +354,7 @@ let serve graph_spec socket_path port workers queue_cap cache_cap timeout_ms max
          Printf.eprintf "recovered %s at version %d (%d batches replayed)\n%!" dir
            recovery.Store.Persist.r_version recovery.Store.Persist.r_replayed;
          Service.Engine.create ~cache_capacity:cache_cap ?semantics ~limits ~persist
-           ~shards ~version:recovery.Store.Persist.r_version
+           ~version:recovery.Store.Persist.r_version
            ~graph:recovery.Store.Persist.r_graph ()
        | exception Store.Wal.Io_error msg ->
          Printf.eprintf "cannot open data dir %s: %s\n%!" dir msg;
@@ -511,15 +507,6 @@ let compact_every_arg =
            ~doc:"With --data-dir: rewrite the snapshot and empty the WAL after every $(docv) \
                  commits (0 = never compact).")
 
-let shards_arg =
-  Arg.(value & opt int 1
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Hash-partition the vertex space into $(docv) shards and run read-path \
-                 invocations as BSP supersteps with cross-shard frontier exchange; shard-safe \
-                 ACCUM passes merge per-shard partials at the snapshot barrier. Results are \
-                 bit-identical to --shards 1 (docs/SHARDING.md). Stats report the shard \
-                 topology and balance.")
-
 let tenant_weights_arg =
   Arg.(value & opt string ""
        & info [ "tenant-weights" ] ~docv:"SPEC"
@@ -582,7 +569,7 @@ let serve_cmd =
     Term.(
       const serve $ graph_arg $ socket_arg $ port_arg $ workers_arg $ queue_arg $ cache_arg
       $ timeout_arg $ max_steps_arg $ max_rows_arg $ max_conns_arg $ semantics_arg
-      $ install_arg $ serve_trace_arg $ data_dir_arg $ compact_every_arg $ shards_arg
+      $ install_arg $ serve_trace_arg $ data_dir_arg $ compact_every_arg
       $ tenant_weights_arg $ quota_steps_arg $ quota_rows_arg $ tenant_queue_arg
       $ replica_of_arg $ sync_replicas_arg $ sync_timeout_arg $ max_staleness_arg)
 

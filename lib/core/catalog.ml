@@ -27,13 +27,6 @@ let locked cat f =
   Mutex.lock cat.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock cat.lock) f
 
-(* Interpreter escape hatch: GSQL_INTERP=1 makes every catalog run use the
-   tree-walking oracle instead of the installed plan. *)
-let interp_default () =
-  match Sys.getenv_opt "GSQL_INTERP" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
 let analyze (q : Ast.query) =
   let info = Analyze.check_query q in
   (match info.Analyze.errors with
@@ -127,9 +120,8 @@ let recompile ?schema cat =
   let entries = locked cat (fun () -> Hashtbl.fold (fun _ e acc -> e :: acc) cat.entries []) in
   List.iter (fun e -> replace_query ?schema cat e.query) entries
 
-let run ?interp cat g ?semantics ~params name =
+let run ?(interp = false) cat g ?semantics ~params name =
   let e = get cat name in
-  let interp = match interp with Some b -> b | None -> interp_default () in
   try
     if interp then Eval.run_query g ?semantics ~params e.query
     else Compile.run e.plan ?semantics ~params g

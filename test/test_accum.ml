@@ -523,6 +523,24 @@ let test_default_workers () =
   Alcotest.(check bool) "bounded by recommendation" true
     (Accum.Parallel.default_workers max_int <= Domain.recommended_domain_count ())
 
+(* GSQL_WORKERS pins the width, clamped to the recommended domain count;
+   unparsable or non-positive values are ignored. *)
+let test_gsql_workers () =
+  let d = Domain.recommended_domain_count () in
+  let saved = Option.value ~default:"" (Sys.getenv_opt "GSQL_WORKERS") in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "GSQL_WORKERS" saved)
+    (fun () ->
+      List.iter
+        (fun (label, env, n_items, expected) ->
+          Unix.putenv "GSQL_WORKERS" env;
+          Alcotest.(check int) label expected (Accum.Parallel.default_workers n_items))
+        [ ("pinned to 1", "1", 64, 1);
+          ("clamped to recommended", "999", 1024, min 999 d);
+          ("garbage ignored", "garbage", 64, min d 64);
+          ("zero ignored", "0", 64, min d 64);
+          ("never exceeds items", "", 1, 1) ])
+
 let test_map_reduce_degenerate () =
   let spec = Accum.Spec.Sum_int in
   let run ?workers items =
@@ -566,6 +584,8 @@ let () =
           Alcotest.test_case "slices partition laws" `Quick test_slices_partition_laws;
           Alcotest.test_case "default workers" `Quick test_default_workers;
           Alcotest.test_case "map_reduce degenerate" `Quick test_map_reduce_degenerate ] );
+      ( "workers",
+        [ Alcotest.test_case "GSQL_WORKERS clamp" `Quick test_gsql_workers ] );
       ( "state",
         [ Alcotest.test_case "copy" `Quick test_copy_independent;
           Alcotest.test_case "merge" `Quick test_merge ] );

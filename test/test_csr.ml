@@ -2,8 +2,8 @@
    structural invariants, differential properties against the legacy
    list-frontier kernel (mixed directed/undirected/multi-type random
    graphs), sequential/parallel engine equivalence, cancellation without
-   domain leaks, and version-cache invalidation (in-place mutation and the
-   MVCC publish protocol). *)
+   domain leaks, version-cache invalidation (in-place mutation and the
+   MVCC publish protocol), and the memo's concurrent-build latch. *)
 
 module G = Pgraph.Graph
 module C = Pgraph.Csr
@@ -321,6 +321,24 @@ let test_mvcc_publish_invalidates () =
     (json_int "invalidations" (C.cache_stats ()));
   Alcotest.(check int) "two paths post-commit" 2 (count_paths ())
 
+(* The memo's build latch: domains racing on one cold graph coalesce
+   into a single build and all receive the same frozen index. *)
+let test_build_latch () =
+  let g = random_mixed 13 4000 8000 in
+  let stat key = json_int key (C.cache_stats ()) in
+  let builds0 = stat "builds" and waits0 = stat "build_waits" in
+  Alcotest.(check bool) "build counters present" true (builds0 >= 0 && waits0 >= 0);
+  let domains = List.init 4 (fun _ -> Domain.spawn (fun () -> C.of_graph g)) in
+  (match List.map Domain.join domains with
+   | first :: rest ->
+     List.iter
+       (fun c -> Alcotest.(check bool) "same memoized CSR" true (c == first))
+       rest
+   | [] -> assert false);
+  Alcotest.(check int) "exactly one build" 1 (stat "builds" - builds0);
+  Alcotest.(check bool) "waits counted, never negative" true
+    (stat "build_waits" >= waits0)
+
 let () =
   Alcotest.run "csr"
     [ ( "structure",
@@ -335,4 +353,6 @@ let () =
       ( "invalidation",
         [ Alcotest.test_case "in-place mutation" `Quick test_inplace_mutation_invalidates;
           Alcotest.test_case "snapshot isolation" `Quick test_snapshot_gets_own_index;
-          Alcotest.test_case "MVCC publish" `Quick test_mvcc_publish_invalidates ] ) ]
+          Alcotest.test_case "MVCC publish" `Quick test_mvcc_publish_invalidates ] );
+      ( "csr latch",
+        [ Alcotest.test_case "concurrent builds coalesce" `Quick test_build_latch ] ) ]
